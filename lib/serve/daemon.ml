@@ -295,17 +295,17 @@ let recover ?snapshot ~wal ~m () =
         | Ok st -> (st, true, None)
         | Error e -> (Snapshot.empty ~m, false, Some e))
   in
-  let entries, torn =
-    if Sys.file_exists wal then
-      match Wal.replay wal with Ok r -> r | Error _ -> ([], None)
-    else ([], None)
+  (* The whole log is checksummed, but only the suffix past the
+     snapshot is decoded. *)
+  let { Wal.entries = suffix; torn; last_seq } =
+    match Wal.scan ~after:base.Snapshot.seq wal with
+    | Ok s -> s
+    | Error _ (* no readable log *) -> { Wal.entries = []; torn = None; last_seq = 0 }
   in
   (* Drop the torn tail on disk so the continuation appends right after
      the last valid record — the resumed WAL stays byte-identical to an
      uninterrupted run's. *)
   (match torn with Some { offset; _ } -> Unix.truncate wal offset | None -> ());
-  let suffix = List.filter (fun (e : Wal.entry) -> e.seq > base.Snapshot.seq) entries in
-  let last_seq = List.fold_left (fun acc (e : Wal.entry) -> max acc e.seq) 0 entries in
   let snapshot_ahead = used_snapshot && base.Snapshot.seq > last_seq in
   let rt = rt_of_state base in
   List.iter (apply_record rt ~keep:false) suffix;
@@ -415,20 +415,17 @@ let run ?state ?(outages = []) ?(tick = fun _ -> ()) (cfg : config) arrivals =
   (* Time-series probe: a pure read of the runtime at a grid instant.
      The timestamps come from the virtual clock, so a recorded series
      is as deterministic as the run itself (det-series lint rule). *)
-  let lat_percentile q =
-    match !latencies with
-    | [] -> 0.0
-    | l ->
-      let a = Array.of_list l in
-      Array.sort compare a;
-      let n = Array.length a in
-      a.(min (n - 1) (int_of_float (q *. float_of_int n)))
+  let percentile sorted q =
+    let n = Array.length sorted in
+    if n = 0 then 0.0 else sorted.(min (n - 1) (int_of_float (q *. float_of_int n)))
   in
   let sample () =
     match cfg.series with
     | None -> ()
     | Some s ->
       Series.tick s ~now:rt.clock (fun ~t ->
+          let lat = Array.of_list !latencies in
+          Array.sort Float.compare lat;
           let busy =
             List.fold_left
               (fun acc (p : Snapshot.placement) ->
@@ -445,8 +442,8 @@ let run ?state ?(outages = []) ?(tick = fun _ -> ()) (cfg : config) arrivals =
             goodput = (if total > 0.0 then rt.useful_work /. total else 1.0);
             shed = rt.counters.shed + rt.counters.deferred_jobs;
             killed = rt.counters.killed;
-            lat_p50 = lat_percentile 0.50;
-            lat_p99 = lat_percentile 0.99;
+            lat_p50 = percentile lat 0.50;
+            lat_p99 = percentile lat 0.99;
           })
   in
   (* Fast-forward the deterministic sources past what the recovered

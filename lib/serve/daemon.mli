@@ -99,8 +99,9 @@ type recovery_info = {
 val recover :
   ?snapshot:string -> wal:string -> m:int -> unit -> Snapshot.t * recovery_info
 (** Rebuild the daemon state: load the snapshot if present and intact
-    (else start from {!Snapshot.empty}), replay WAL records with
-    [seq > snapshot.seq], truncate any torn tail off the file.
+    (else start from {!Snapshot.empty}), checksum the whole WAL and
+    decode and replay only the records with [seq > snapshot.seq]
+    ({!Wal.scan}), truncate any torn tail off the file.
     Idempotent — recovering twice yields the same state. *)
 
 (** {1 Running} *)

@@ -2,9 +2,12 @@ open Psched_workload
 open Psched_sim
 
 (* Point-in-time image of the daemon state.  A snapshot plus the WAL
-   suffix with seq > snapshot.seq rebuilds the exact live state, so the
-   WAL can be truncated at snapshot boundaries and recovery time stays
-   bounded no matter how long the daemon has been running. *)
+   suffix with seq > snapshot.seq rebuilds the exact live state.
+   Recovery (Daemon.recover) still makes one checksum pass over the
+   whole log, but decodes and applies only that suffix: the snapshot
+   bounds the decoding and replay work, while the checksum pass grows
+   with the log (~4 ns per byte) until the WAL is truncated at a
+   snapshot boundary. *)
 
 type placement = { job : Job.t; start : float; procs : int; duration : float }
 

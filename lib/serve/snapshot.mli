@@ -1,8 +1,9 @@
 (** Point-in-time snapshots of the serve daemon state.
 
     A snapshot plus the {!Wal} suffix with [seq > snapshot.seq]
-    rebuilds the exact live state, bounding recovery time and letting
-    old WAL prefixes be discarded.  The file is text, ends in a
+    rebuilds the exact live state.  Recovery checksums the whole log
+    but decodes only that suffix ({!Wal.scan}), and old WAL prefixes
+    can be discarded.  The file is text, ends in a
     checksummed [end #...] trailer, and is written via
     write-then-rename, so a crash mid-save can never corrupt the
     previous snapshot — a torn file fails {!of_string} as a whole and

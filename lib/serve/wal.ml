@@ -33,14 +33,25 @@ let record_name = function
 
 (* ------------------------------------------------------------ checksum *)
 
+(* One FNV-1a/64 step.  Inlined into the index loops below, whose local
+   [Int64] refs the native compiler then keeps unboxed: no allocation
+   per byte. *)
+let[@inline] fnv_step h c = Int64.mul (Int64.logxor h (Int64.of_int (Char.code c))) 0x100000001b3L
+
+let fnv_basis = 0xcbf29ce484222325L
+
+let hex_digits = "0123456789abcdef"
+
+(* Lowercase hex digit [i] (0 = most significant) of a 64-bit digest. *)
+let digest_digit h i =
+  hex_digits.[Int64.to_int (Int64.logand (Int64.shift_right_logical h (4 * (15 - i))) 0xfL)]
+
 let fnv1a64 s =
-  let h = ref 0xcbf29ce484222325L in
-  String.iter
-    (fun c ->
-      h := Int64.logxor !h (Int64.of_int (Char.code c));
-      h := Int64.mul !h 0x100000001b3L)
-    s;
-  Printf.sprintf "%016Lx" !h
+  let h = ref fnv_basis in
+  for i = 0 to String.length s - 1 do
+    h := fnv_step !h (String.unsafe_get s i)
+  done;
+  String.init 16 (digest_digit !h)
 
 (* ---------------------------------------------------------- job codec *)
 
@@ -206,23 +217,82 @@ let encode ~seq ~clock record =
 
 type entry = { seq : int; clock : float; record : record }
 
+(* The blanks [String.trim] removes. *)
+let is_space = function ' ' | '\012' | '\n' | '\r' | '\t' -> true | _ -> false
+
+(* Scanning helpers over [s.[i] .. s.[stop - 1]]; top-level so the
+   per-line path allocates no closures. *)
+let rec skip_blanks s i stop = if i < stop && is_space s.[i] then skip_blanks s (i + 1) stop else i
+
+let rec trim_blanks s start stop =
+  if stop > start && is_space s.[stop - 1] then trim_blanks s start (stop - 1) else stop
+
+(* Like [skip_blanks], but stops at the end of the line. *)
+let rec skip_line_blanks s i stop =
+  if i < stop && s.[i] <> '\n' && is_space s.[i] then skip_line_blanks s (i + 1) stop else i
+
+let rec find_char s c i stop = if i >= stop || s.[i] = c then i else find_char s c (i + 1) stop
+
+let rec find_char_not s c i stop =
+  if i < stop && s.[i] = c then find_char_not s c (i + 1) stop else i
+
+(* [s.[pos] .. s.[pos + 15]] spells the digest [h]. *)
+let rec digest_matches s pos h k =
+  k = 16 || (s.[pos + k] = digest_digit h k && digest_matches s pos h (k + 1))
+
+(* One pass over the line that starts at [first] and ends at the first
+   '\n' or at [stop], hashing as it goes.  Returns the end of the line
+   and its framing verdict: the last '#' must follow a space, and the
+   text after it, blanks trimmed, must spell the FNV-1a/64 digest of
+   everything from [first] up to that " #", whose position is returned. *)
+let frame_line s ~first ~stop =
+  let h = ref fnv_basis and before_space = ref fnv_basis and body = ref fnv_basis in
+  let hash = ref (-1) and j = ref first in
+  while !j < stop && String.unsafe_get s !j <> '\n' do
+    let c = String.unsafe_get s !j in
+    if c = ' ' then before_space := !h
+    else if c = '#' then begin
+      hash := !j;
+      body := !before_space
+    end;
+    h := fnv_step !h c;
+    incr j
+  done;
+  let eol = !j and i = !hash in
+  let verdict =
+    if i < 0 then Error "no checksum"
+    else if i < first + 1 || s.[i - 1] <> ' ' then Error "no checksum separator"
+    else
+      let last = trim_blanks s i eol in
+      let a = skip_blanks s (i + 1) last in
+      if last - a = 16 && digest_matches s a !body 0 then Ok (i - 1)
+      else Error "checksum mismatch"
+  in
+  (eol, verdict)
+
+let entry_of_body body =
+  match String.split_on_char ' ' body |> List.filter (fun s -> s <> "") with
+  | seq :: clock :: payload ->
+    let* seq = int_tok seq in
+    let* clock = float_tok clock in
+    let* record = payload_of_tokens payload in
+    Ok { seq; clock; record }
+  | _ -> Error "truncated header"
+
 let decode line =
-  match String.rindex_opt line '#' with
-  | None -> Error "no checksum"
-  | Some i when i < 1 || line.[i - 1] <> ' ' -> Error "no checksum separator"
-  | Some i ->
-    let body = String.sub line 0 (i - 1) in
-    let sum = String.sub line (i + 1) (String.length line - i - 1) in
-    if String.trim sum <> fnv1a64 body then Error "checksum mismatch"
-    else begin
-      match String.split_on_char ' ' body |> List.filter (fun s -> s <> "") with
-      | seq :: clock :: payload ->
-        let* seq = int_tok seq in
-        let* clock = float_tok clock in
-        let* record = payload_of_tokens payload in
-        Ok { seq; clock; record }
-      | _ -> Error "truncated header"
-    end
+  let len = String.length line in
+  match frame_line line ~first:0 ~stop:len with
+  | eol, _ when skip_blanks line eol len < len -> Error "line break inside the record"
+  | _, Error reason -> Error reason
+  | _, Ok body_end -> entry_of_body (String.sub line 0 body_end)
+
+(* The seq of the body [s.[first] .. s.[body_end - 1]], with the error
+   [entry_of_body] would report first for a bad header. *)
+let leading_seq s ~first ~body_end =
+  let a = find_char_not s ' ' first body_end in
+  let b = find_char s ' ' a body_end in
+  if find_char_not s ' ' b body_end >= body_end then Error "truncated header"
+  else int_tok (String.sub s a (b - a))
 
 (* -------------------------------------------------------------- writer *)
 
@@ -255,7 +325,8 @@ let append w ~clock record =
   output_char w.oc '\n';
   (* Flush every record: a kill -9 can then tear at most the final
      line, which replay detects and drops.  fsync is opt-in — it makes
-     the record durable against power loss, at ~1ms per append. *)
+     the record durable against power loss (its cost per append is the
+     benchmark's wal.sync_append_us). *)
   flush w.oc;
   if w.sync then Unix.fsync w.fd;
   w.seq
@@ -266,35 +337,48 @@ let close w = close_out w.oc
 (* -------------------------------------------------------------- replay *)
 
 type torn = { line : int; offset : int; reason : string }
+type scan = { entries : entry list; torn : torn option; last_seq : int }
 
-let replay_string text =
-  let lines = String.split_on_char '\n' text in
-  (* Valid prefix semantics: the first undecodable line ends the log
+let torn_at acc last_seq line offset reason =
+  { entries = List.rev acc; torn = Some { line; offset; reason }; last_seq }
+
+let scan_string ?after text =
+  let len = String.length text in
+  let skip seq = match after with Some a -> seq <= a | None -> false in
+  (* Valid prefix semantics: the first unusable line ends the log
      (everything after a torn record is unreachable — the daemon never
      wrote past a failed append), so later lines are not scavenged.
      [offset] is the byte position of the torn line: recovery truncates
      the file there so the continuation appends after the last valid
      record, leaving no garbage in the middle. *)
-  let rec go lineno offset acc = function
-    | [] -> (List.rev acc, None)
-    | line :: rest ->
-      let next_offset = offset + String.length line + 1 in
-      let trimmed = String.trim line in
-      if trimmed = "" then
+  let rec go lineno offset acc last_seq =
+    if offset > len then { entries = List.rev acc; torn = None; last_seq }
+    else
+      let a = skip_line_blanks text offset len in
+      if a = len || text.[a] = '\n' then
         (* A trailing blank line is normal (final newline); blank lines
            between records mean truncation. *)
-        if List.for_all (fun l -> String.trim l = "") rest then (List.rev acc, None)
-        else (List.rev acc, Some { line = lineno; offset; reason = "blank line inside the log" })
-      else if lineno = 1 && trimmed = magic then go (lineno + 1) next_offset acc rest
-      else begin
-        match decode trimmed with
-        | Ok entry -> go (lineno + 1) next_offset (entry :: acc) rest
-        | Error reason -> (List.rev acc, Some { line = lineno; offset; reason })
-      end
+        if skip_blanks text a len = len then { entries = List.rev acc; torn = None; last_seq }
+        else torn_at acc last_seq lineno offset "blank line inside the log"
+      else
+        let eol, verdict = frame_line text ~first:a ~stop:len in
+        if lineno = 1 && String.sub text a (trim_blanks text a eol - a) = magic then
+          go 2 (eol + 1) acc last_seq
+        else
+          match verdict with
+          | Error reason -> torn_at acc last_seq lineno offset reason
+          | Ok body_end -> (
+            match leading_seq text ~first:a ~body_end with
+            | Error reason -> torn_at acc last_seq lineno offset reason
+            | Ok seq when skip seq -> go (lineno + 1) (eol + 1) acc (max last_seq seq)
+            | Ok _ -> (
+              match entry_of_body (String.sub text a (body_end - a)) with
+              | Ok e -> go (lineno + 1) (eol + 1) (e :: acc) (max last_seq e.seq)
+              | Error reason -> torn_at acc last_seq lineno offset reason))
   in
-  go 1 0 [] lines
+  go 1 0 [] 0
 
-let replay path =
+let scan ?after path =
   match open_in path with
   | exception Sys_error msg -> Error msg
   | ic ->
@@ -302,4 +386,6 @@ let replay path =
       ~finally:(fun () -> close_in ic)
       (fun () ->
         let n = in_channel_length ic in
-        Ok (replay_string (really_input_string ic n)))
+        Ok (scan_string ?after (really_input_string ic n)))
+
+let replay path = Result.map (fun s -> (s.entries, s.torn)) (scan path)

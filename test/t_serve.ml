@@ -144,6 +144,33 @@ let test_wal_torn_tail () =
     | Some t -> Alcotest.(check int) "torn at the appended line" (List.length sample_records + 2) t.Wal.line));
   rm path
 
+(* --- pinned formats ----------------------------------------------------- *)
+
+let test_fnv1a64_vectors () =
+  List.iter
+    (fun (input, digest) ->
+      Alcotest.(check string) (Printf.sprintf "fnv1a64 %S" input) digest (Wal.fnv1a64 input))
+    [ ("", "cbf29ce484222325"); ("a", "af63dc4c8601ec8c"); ("foobar", "85944171f73967e8") ]
+
+(* A job with every optional field (due date, resource vector, moldable
+   times) inside a deferral, and a placement: the exact bytes a WAL
+   holds, so a change to the codec or the checksum cannot pass
+   unnoticed. *)
+let test_wal_golden_lines () =
+  let res = Psched_platform.Resource.make ~memory:4096 ~bandwidth:250 () in
+  let job =
+    Job.make ~weight:1.0 ~release:0.1 ~due:99.75 ~res ~id:2
+      (Job.Moldable { min_procs = 2; times = [| 10.0; 6.0; 4.5; 4.0 |] })
+  in
+  Alcotest.(check string) "shed line"
+    "17 0x1.88p+1 shed defer r 0x1.18p+4 J 2 0x1p+0 0x1.999999999999ap-4 0x1.8fp+6 0 V 4096 250 M 2 4 0x1.4p+3 0x1.8p+2 0x1.2p+2 0x1p+2 #0d3d0ebd2a94fbb4"
+    (Wal.encode ~seq:17 ~clock:3.0625
+       (Wal.Shed { job; reason = "defer"; arrival = false; requeue = 17.5 }));
+  Alcotest.(check string) "decide line"
+    "18 0x1.88p+1 decide 1 0x1.88p+1 4 0x1.5p+3 #f2d7886f45279feb"
+    (Wal.encode ~seq:18 ~clock:3.0625
+       (Wal.Decide { job_id = 1; start = 3.0625; procs = 4; duration = 10.5 }))
+
 (* --- snapshots -------------------------------------------------------- *)
 
 let nonempty_state () =
@@ -173,6 +200,31 @@ let test_snapshot_roundtrip () =
   match Snapshot.of_string (Snapshot.to_string st) with
   | Error e -> Alcotest.fail e
   | Ok st' -> Alcotest.(check bool) "bit-identical state" true (compare st st' = 0)
+
+let test_snapshot_golden () =
+  Alcotest.(check string) "snapshot bytes"
+    (String.concat "\n"
+       [
+         "psched-snapshot/1";
+         "m 8";
+         "seq 42";
+         "clock 0x1.16p+4";
+         "arrivals 7";
+         "outages_seen 2";
+         "counters 7 5 0 0 1 0 0 0";
+         "acc 8 1 0x1.9p+3 0x1.9p+3 0x1.f4p+4 0x1.68p+3 0x1.68p+3 0x1.1249249249249p+0 0x1.1249249249249p+0 0 0x0p+0 0x0p+0 0x1.5p+5";
+         "work 0x1.eep+6 0x1.9p+2 0x1p+3";
+         "degraded 1 0";
+         "attempt 1 2";
+         "attempt 3 1";
+         "q J 2 0x1p+0 0x1.999999999999ap-4 0x1.8fp+6 0 M 2 4 0x1.4p+3 0x1.8p+2 0x1.2p+2 0x1p+2";
+         "d 0x1.38p+4 J 3 0x1p+0 0x0p+0 - 0 D 0x1.edd2f1a9fbe77p+6";
+         "l 0x1p+4 4 0x1.5p+3 J 1 0x1.4p+1 0x1.4p+0 - 3 R 4 0x1.5p+3";
+         "o 0x1.ep+3 0x1p+2 2";
+         "end #7a748c7d0be186c0";
+         "";
+       ])
+    (Snapshot.to_string (nonempty_state ()))
 
 let test_snapshot_rejects_torn () =
   let st = nonempty_state () in
@@ -359,10 +411,11 @@ let test_daemon_deadline_breaker () =
 
 (* --- the crash-recovery property -------------------------------------- *)
 
-let crash_config ~wal m =
+let crash_config ?snapshot ?snapshot_every ~wal m =
   Daemon.config ~m
     ~backoff:(Recovery.backoff ~base:2.0 ~factor:2.0 ~max_delay:30.0 ())
-    ~queue_cap:6 ~shed:(Admission.Defer { delay = 3.0 }) ~batch:2 ~wal ()
+    ~queue_cap:6 ~shed:(Admission.Defer { delay = 3.0 }) ~batch:2 ~wal ?snapshot
+    ?snapshot_every ()
 
 let crash_outages =
   [
@@ -371,59 +424,91 @@ let crash_outages =
     Outage.make ~start:33.0 ~procs:2 ~duration:10.0 ();
   ]
 
-let assert_crash_sweep ~tag ~m ~config ~arrivals ~outages ~min_records =
+(* The log text holding the header and the first [k] records of
+   [lines], followed by [tail]. *)
+let wal_prefix lines k tail =
+  String.concat "\n" (List.filteri (fun i _ -> i <= k) lines) ^ "\n" ^ tail
+
+(* Kill the daemon after every WAL record, recover, resume, and demand
+   the uninterrupted run's outcome.  With [snapshot_every], a crash
+   after record k also finds the snapshot the daemon would have left
+   on disk: the state at the last multiple of [snapshot_every] at or
+   below k, rebuilt by recovering that WAL prefix (none below the first
+   multiple).  [config ~wal ~snapshot] builds the daemon's config. *)
+let assert_crash_sweep ?snapshot_every ~tag ~m ~config ~arrivals ~outages ~min_records () =
   let full_wal = tmp (tag ^ "-full.wal") in
-  let full = Daemon.run ~outages (config ~wal:full_wal) (arrivals ()) in
+  let snap = Option.map (fun _ -> tmp (tag ^ ".snapshot")) snapshot_every in
+  let full = Daemon.run ~outages (config ~wal:full_wal ~snapshot:snap) (arrivals ()) in
   let full_text = read_file full_wal in
+  (* Recover from [wal] (and [snap]), resume, and demand the
+     uninterrupted run's metrics, counters, work and WAL bytes. *)
+  let resume_matches label wal =
+    let state, info = Daemon.recover ?snapshot:snap ~wal ~m () in
+    let resumed = Daemon.run ~state ~outages (config ~wal ~snapshot:snap) (arrivals ()) in
+    if compare resumed.Daemon.metrics full.Daemon.metrics <> 0 then
+      Alcotest.fail (label "metrics differ");
+    if compare resumed.Daemon.state.Snapshot.counters full.Daemon.state.Snapshot.counters <> 0
+    then Alcotest.fail (label "counters differ");
+    if
+      compare
+        ( resumed.Daemon.state.Snapshot.useful_work,
+          resumed.Daemon.state.Snapshot.wasted_work,
+          resumed.Daemon.state.Snapshot.capacity_lost )
+        ( full.Daemon.state.Snapshot.useful_work,
+          full.Daemon.state.Snapshot.wasted_work,
+          full.Daemon.state.Snapshot.capacity_lost )
+      <> 0
+    then Alcotest.fail (label "work accounting differs");
+    if read_file wal <> full_text then Alcotest.fail (label "WAL bytes differ");
+    info
+  in
+  (* The daemon's own last snapshot, next to its finished log. *)
+  if snap <> None then begin
+    let info = resume_matches (Printf.sprintf "%s: %s after the run's end" tag) full_wal in
+    Alcotest.(check bool) (tag ^ ": own snapshot used") true info.Daemon.used_snapshot
+  end;
   let lines = String.split_on_char '\n' full_text |> List.filter (fun l -> l <> "") in
   let records = List.length lines - 1 (* minus the magic header *) in
   Alcotest.(check bool) (tag ^ ": log is non-trivial") true (records > min_records);
   let part_wal = tmp (tag ^ "-part.wal") in
   for k = 0 to records do
+    let base = match snapshot_every with Some every -> k / every * every | None -> 0 in
     (* Disk state after the k-th record was flushed, with and without a
        torn (k+1)-th line — then kill -9, recover, resume. *)
     List.iteri
       (fun variant torn_tail ->
-        let prefix =
-          String.concat "\n" (List.filteri (fun i _ -> i <= k) lines) ^ "\n" ^ torn_tail
-        in
-        write_file part_wal prefix;
-        let state, _info = Daemon.recover ~wal:part_wal ~m () in
-        let resumed = Daemon.run ~state ~outages (config ~wal:part_wal) (arrivals ()) in
+        Option.iter
+          (fun path ->
+            rm path;
+            if base > 0 then begin
+              write_file part_wal (wal_prefix lines base "");
+              Snapshot.save path (fst (Daemon.recover ~wal:part_wal ~m ()))
+            end)
+          snap;
+        write_file part_wal (wal_prefix lines k torn_tail);
         let label what = Printf.sprintf "%s: %s after crash at record %d.%d" tag what k variant in
-        if compare resumed.Daemon.metrics full.Daemon.metrics <> 0 then
-          Alcotest.fail (label "metrics differ");
-        if compare resumed.Daemon.state.Snapshot.counters full.Daemon.state.Snapshot.counters <> 0
-        then Alcotest.fail (label "counters differ");
-        if
-          compare
-            ( resumed.Daemon.state.Snapshot.useful_work,
-              resumed.Daemon.state.Snapshot.wasted_work,
-              resumed.Daemon.state.Snapshot.capacity_lost )
-            ( full.Daemon.state.Snapshot.useful_work,
-              full.Daemon.state.Snapshot.wasted_work,
-              full.Daemon.state.Snapshot.capacity_lost )
-          <> 0
-        then Alcotest.fail (label "work accounting differs");
-        if read_file part_wal <> full_text then Alcotest.fail (label "WAL bytes differ"))
+        let info = resume_matches label part_wal in
+        if info.Daemon.used_snapshot <> (base > 0) then Alcotest.fail (label "snapshot use wrong");
+        if info.Daemon.replayed <> k - base then Alcotest.fail (label "replayed count wrong"))
       [ ""; "999 0x1.8p4 decide 7 0x1p0" ]
   done;
   rm full_wal;
-  rm part_wal
+  rm part_wal;
+  Option.iter rm snap
 
 let test_crash_recovery_bit_identical () =
   let m = 8 in
   assert_crash_sweep ~tag:"crash" ~m
-    ~config:(fun ~wal -> crash_config ~wal m)
+    ~config:(fun ~wal ~snapshot:_ -> crash_config ~wal m)
     ~arrivals:(fun () -> poisson_arrivals ~m ~count:25 ~seed:7 ())
-    ~outages:crash_outages ~min_records:50
+    ~outages:crash_outages ~min_records:50 ()
 
 let test_timer_crash_recovery_bit_identical () =
   (* Same property under timer-driven rounds: multi-job rounds fire on
      the virtual-time grid, so crashes land between the Decides of a
      grid round and the grid itself must be re-derived on replay. *)
   let m = 8 in
-  let config ~wal =
+  let config ~wal ~snapshot:_ =
     Daemon.config ~m ~round_every:10.0 ~queue_cap:4
       ~shed:(Admission.Defer { delay = 7.0 })
       ~backoff:(Recovery.backoff ~base:2.0 ~factor:2.0 ~max_delay:30.0 ())
@@ -431,34 +516,150 @@ let test_timer_crash_recovery_bit_identical () =
   in
   assert_crash_sweep ~tag:"timer-crash" ~m ~config
     ~arrivals:(fun () -> poisson_arrivals ~m ~count:15 ~seed:5 ())
-    ~outages:crash_outages ~min_records:30
+    ~outages:crash_outages ~min_records:30 ()
 
 let test_crash_recovery_with_snapshot () =
   (* Same property with periodic snapshots on: recovery goes through
-     Snapshot.load + WAL suffix replay instead of full replay. *)
-  let m = 8 in
-  let arrivals () = poisson_arrivals ~m ~count:25 ~seed:7 () in
-  let wal = tmp "snap-crash.wal" in
-  let snap = tmp "snap-crash.snapshot" in
-  let config ~wal ~snapshot =
+     Snapshot.load + decoding only the WAL suffix past the snapshot. *)
+  let m = 8 and snapshot_every = 16 in
+  assert_crash_sweep ~snapshot_every ~tag:"snap-crash" ~m
+    ~config:(fun ~wal ~snapshot -> crash_config ~wal ?snapshot ~snapshot_every m)
+    ~arrivals:(fun () -> poisson_arrivals ~m ~count:25 ~seed:7 ())
+    ~outages:crash_outages ~min_records:50 ()
+
+(* --- the scanner against the decode-everything oracle ------------------ *)
+
+(* The WAL replay the scanner replaced, kept as the reference: split
+   the whole text, decode every line, stop at the first bad one. *)
+let wal_magic = "psched-wal/1"
+
+let reference_fnv1a64 s =
+  let h = ref 0xcbf29ce484222325L in
+  String.iter
+    (fun c ->
+      h := Int64.logxor !h (Int64.of_int (Char.code c));
+      h := Int64.mul !h 0x100000001b3L)
+    s;
+  Printf.sprintf "%016Lx" !h
+
+(* The line decoder the scanner replaced.  Its framing (last '#', the
+   " #" separator, trimming, digest comparison, reasons) is copied here
+   so the scanner's framing is checked against it; the payload
+   tokeniser, which the scanner shares unchanged, is reached through
+   [Wal.decode] on the body re-framed canonically. *)
+let reference_decode line =
+  match String.rindex_opt line '#' with
+  | None -> Error "no checksum"
+  | Some i when i < 1 || line.[i - 1] <> ' ' -> Error "no checksum separator"
+  | Some i ->
+    let body = String.sub line 0 (i - 1) in
+    let sum = String.sub line (i + 1) (String.length line - i - 1) in
+    if String.trim sum <> reference_fnv1a64 body then Error "checksum mismatch"
+    else Wal.decode (body ^ " #" ^ reference_fnv1a64 body)
+
+let reference_replay_string text =
+  let lines = String.split_on_char '\n' text in
+  (* Valid prefix semantics: the first undecodable line ends the log
+     (everything after a torn record is unreachable — the daemon never
+     wrote past a failed append), so later lines are not scavenged.
+     [offset] is the byte position of the torn line: recovery truncates
+     the file there so the continuation appends after the last valid
+     record, leaving no garbage in the middle. *)
+  let rec go lineno offset acc = function
+    | [] -> (List.rev acc, None)
+    | line :: rest ->
+      let next_offset = offset + String.length line + 1 in
+      let trimmed = String.trim line in
+      if trimmed = "" then
+        (* A trailing blank line is normal (final newline); blank lines
+           between records mean truncation. *)
+        if List.for_all (fun l -> String.trim l = "") rest then (List.rev acc, None)
+        else (List.rev acc, Some { Wal.line = lineno; offset; reason = "blank line inside the log" })
+      else if lineno = 1 && trimmed = wal_magic then go (lineno + 1) next_offset acc rest
+      else begin
+        match reference_decode trimmed with
+        | Ok entry -> go (lineno + 1) next_offset (entry :: acc) rest
+        | Error reason -> (List.rev acc, Some { Wal.line = lineno; offset; reason })
+      end
+  in
+  go 1 0 [] lines
+
+(* A daemon run's log, cut at a byte, maybe hit by one flipped byte,
+   and scanned past a random snapshot seq. *)
+type damaged_log = { seed : int; count : int; cut : int; flip : (int * char) option; after : int }
+
+let damaged_log_arb =
+  let open QCheck.Gen in
+  let gen =
+    let* seed = int_range 1 40 in
+    let* count = int_range 3 15 in
+    let* cut = int_bound 1_000_000 in
+    (* Half the flips write a byte the framing looks at. *)
+    let* flip = opt (pair (int_bound 1_000_000) (oneof [ char; oneofl [ '#'; ' '; '\n'; '\t'; '0' ] ])) in
+    let* after = int_range (-2) 80 in
+    return { seed; count; cut; flip; after }
+  in
+  QCheck.make gen ~print:(fun d ->
+      Printf.sprintf "seed %d count %d cut %d flip %s after %d" d.seed d.count d.cut
+        (match d.flip with Some (i, c) -> Printf.sprintf "(%d, %C)" i c | None -> "none")
+        d.after)
+
+(* Batches larger than the queue cap force deferrals, and the crash
+   outages kill placements, so the five record kinds all appear. *)
+let oracle_log ~seed ~count =
+  let m = 8 and wal = tmp "oracle.wal" in
+  let cfg =
     Daemon.config ~m
       ~backoff:(Recovery.backoff ~base:2.0 ~factor:2.0 ~max_delay:30.0 ())
-      ~queue_cap:6 ~shed:(Admission.Defer { delay = 3.0 }) ~batch:2 ~wal ~snapshot
-      ~snapshot_every:16 ()
+      ~queue_cap:3 ~shed:(Admission.Defer { delay = 3.0 }) ~batch:4 ~wal ()
   in
-  let full = Daemon.run ~outages:crash_outages (config ~wal ~snapshot:snap) (arrivals ()) in
-  (* Crash "now": state on disk is the final WAL + some snapshot.  A
-     recover + resume finds nothing left to do and reports the same
-     totals. *)
-  let state, info = Daemon.recover ~snapshot:snap ~wal ~m () in
-  Alcotest.(check bool) "snapshot used" true info.Daemon.used_snapshot;
-  let resumed = Daemon.run ~state ~outages:crash_outages (config ~wal ~snapshot:snap) (arrivals ()) in
-  Alcotest.(check bool) "metrics identical" true
-    (compare resumed.Daemon.metrics full.Daemon.metrics = 0);
-  Alcotest.(check bool) "counters identical" true
-    (compare resumed.Daemon.state.Snapshot.counters full.Daemon.state.Snapshot.counters = 0);
+  ignore (Daemon.run ~outages:crash_outages cfg (poisson_arrivals ~m ~count ~seed ()));
+  let text = read_file wal in
   rm wal;
-  rm snap
+  text
+
+let damage d =
+  let full = oracle_log ~seed:d.seed ~count:d.count in
+  let text = String.sub full 0 (d.cut mod (String.length full + 1)) in
+  match d.flip with
+  | Some (i, c) when text <> "" ->
+    let b = Bytes.of_string text in
+    Bytes.set b (i mod Bytes.length b) c;
+    Bytes.to_string b
+  | _ -> text
+
+let test_scan_matches_oracle =
+  T_helpers.qtest ~count:300 "wal: scan equals decode-everything oracle" damaged_log_arb
+    (fun d ->
+      let text = damage d in
+      let entries, torn = reference_replay_string text in
+      let last_seq = List.fold_left (fun acc (e : Wal.entry) -> max acc e.Wal.seq) 0 entries in
+      let suffix = List.filter (fun (e : Wal.entry) -> e.Wal.seq > d.after) entries in
+      let scanned = Wal.scan_string ~after:d.after text in
+      let whole = Wal.scan_string text in
+      if compare scanned.Wal.entries suffix <> 0 then QCheck.Test.fail_report "suffix differs";
+      if scanned.Wal.torn <> torn then QCheck.Test.fail_report "torn report differs";
+      if scanned.Wal.last_seq <> last_seq then QCheck.Test.fail_report "last seq differs";
+      if compare (whole.Wal.entries, whole.Wal.torn) (entries, torn) <> 0 then
+        QCheck.Test.fail_report "full scan differs";
+      (* Recovery truncates a torn tail exactly where the oracle says. *)
+      let wal = tmp "oracle-recover.wal" in
+      write_file wal text;
+      let _, info = Daemon.recover ~wal ~m:8 () in
+      let on_disk = read_file wal in
+      rm wal;
+      let expected = match torn with Some t -> String.sub text 0 t.Wal.offset | None -> text in
+      info.Daemon.torn = torn && on_disk = expected)
+
+let test_oracle_logs_cover_every_kind () =
+  (* The oracle's runs exercise every record kind the scanner may have
+     to decode or skip. *)
+  let entries, _ = reference_replay_string (oracle_log ~seed:7 ~count:10) in
+  List.iter
+    (fun kind ->
+      Alcotest.(check bool) (kind ^ " logged") true
+        (List.exists (fun (e : Wal.entry) -> Wal.record_name e.Wal.record = kind) entries))
+    [ "admit"; "decide"; "shed"; "outage"; "kill" ]
 
 let test_timer_round_semantics () =
   (* With a scheduling cycle, backlog builds between grid points: the
@@ -745,7 +946,10 @@ let suite =
     Alcotest.test_case "wal: checksum rejects damage" `Quick test_wal_checksum_rejects_flip;
     Alcotest.test_case "wal: writer/replay" `Quick test_wal_writer_replay;
     Alcotest.test_case "wal: torn tail detection" `Quick test_wal_torn_tail;
+    Alcotest.test_case "wal: FNV-1a/64 test vectors" `Quick test_fnv1a64_vectors;
+    Alcotest.test_case "wal: golden lines" `Quick test_wal_golden_lines;
     Alcotest.test_case "snapshot: round-trip" `Quick test_snapshot_roundtrip;
+    Alcotest.test_case "snapshot: golden bytes" `Quick test_snapshot_golden;
     Alcotest.test_case "snapshot: rejects torn/corrupt" `Quick test_snapshot_rejects_torn;
     Alcotest.test_case "recover: missing/empty WAL" `Quick test_recover_missing_and_empty_wal;
     Alcotest.test_case "recover: truncates torn tail, idempotent" `Quick
@@ -764,7 +968,10 @@ let suite =
       test_crash_recovery_bit_identical;
     Alcotest.test_case "timer rounds: crash recovery at every offset" `Slow
       test_timer_crash_recovery_bit_identical;
-    Alcotest.test_case "crash recovery with snapshots" `Quick test_crash_recovery_with_snapshot;
+    Alcotest.test_case "crash recovery with snapshots" `Slow test_crash_recovery_with_snapshot;
+    test_scan_matches_oracle;
+    Alcotest.test_case "wal: oracle logs cover every record kind" `Quick
+      test_oracle_logs_cover_every_kind;
     Alcotest.test_case "timer rounds: backlog, cap and grid timing" `Quick
       test_timer_round_semantics;
     Alcotest.test_case "admission: watermark hysteresis" `Quick test_watermark_hysteresis;
