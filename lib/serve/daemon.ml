@@ -388,6 +388,35 @@ let with_release (j : Job.t) release =
   Job.make ~weight:j.Job.weight ~release ?due:j.Job.due ~community:j.Job.community ~id:j.Job.id
     j.Job.shape
 
+(* Decision latencies kept in ascending order for the series
+   quantiles: one binary-search insert per round, so a series sample
+   reads p50 and p99 by index instead of copying and sorting the whole
+   history. *)
+module Sorted_floats = struct
+  type t = { mutable a : float array; mutable n : int }
+
+  let create () = { a = [||]; n = 0 }
+
+  let insert s x =
+    if s.n = Array.length s.a then begin
+      let a = Array.make (max 64 (2 * s.n)) 0.0 in
+      Array.blit s.a 0 a 0 s.n;
+      s.a <- a
+    end;
+    (* After the last element that compares <= x. *)
+    let lo = ref 0 and hi = ref s.n in
+    while !lo < !hi do
+      let mid = (!lo + !hi) / 2 in
+      if Float.compare s.a.(mid) x <= 0 then lo := mid + 1 else hi := mid
+    done;
+    Array.blit s.a !lo s.a (!lo + 1) (s.n - !lo);
+    s.a.(!lo) <- x;
+    s.n <- s.n + 1
+
+  let percentile s q =
+    if s.n = 0 then 0.0 else s.a.(min (s.n - 1) (int_of_float (q *. float_of_int s.n)))
+end
+
 let run ?state ?(outages = []) ?(tick = fun _ -> ()) (cfg : config) arrivals =
   let obs = cfg.obs in
   let resuming = state <> None in
@@ -407,7 +436,7 @@ let run ?state ?(outages = []) ?(tick = fun _ -> ()) (cfg : config) arrivals =
     Admission.Watermark.create ~window:cfg.latency_window ~high:cfg.latency_high
       ~low:cfg.latency_low ()
   in
-  let latencies = ref [] in
+  let latencies = ref [] and sorted_latencies = Sorted_floats.create () in
   let max_queue_depth = ref rt.queue_len in
   let degraded_rounds = ref 0 in
   let last_trips = ref (Recovery.trips breaker_st) in
@@ -415,17 +444,11 @@ let run ?state ?(outages = []) ?(tick = fun _ -> ()) (cfg : config) arrivals =
   (* Time-series probe: a pure read of the runtime at a grid instant.
      The timestamps come from the virtual clock, so a recorded series
      is as deterministic as the run itself (det-series lint rule). *)
-  let percentile sorted q =
-    let n = Array.length sorted in
-    if n = 0 then 0.0 else sorted.(min (n - 1) (int_of_float (q *. float_of_int n)))
-  in
   let sample () =
     match cfg.series with
     | None -> ()
     | Some s ->
       Series.tick s ~now:rt.clock (fun ~t ->
-          let lat = Array.of_list !latencies in
-          Array.sort Float.compare lat;
           let busy =
             List.fold_left
               (fun acc (p : Snapshot.placement) ->
@@ -442,8 +465,8 @@ let run ?state ?(outages = []) ?(tick = fun _ -> ()) (cfg : config) arrivals =
             goodput = (if total > 0.0 then rt.useful_work /. total else 1.0);
             shed = rt.counters.shed + rt.counters.deferred_jobs;
             killed = rt.counters.killed;
-            lat_p50 = percentile lat 0.50;
-            lat_p99 = percentile lat 0.99;
+            lat_p50 = Sorted_floats.percentile sorted_latencies 0.50;
+            lat_p99 = Sorted_floats.percentile sorted_latencies 0.99;
           })
   in
   (* Fast-forward the deterministic sources past what the recovered
@@ -630,6 +653,7 @@ let run ?state ?(outages = []) ?(tick = fun _ -> ()) (cfg : config) arrivals =
           | Registry name -> if forced_greedy then greedy_round jobs else registry_round name jobs);
       let lat = wall () -. t0 in
       latencies := lat :: !latencies;
+      Sorted_floats.insert sorted_latencies lat;
       Obs.Hist.observe obs "serve.decision_latency" lat;
       if forced_greedy && cfg.mode <> Greedy then begin
         incr degraded_rounds;

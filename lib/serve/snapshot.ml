@@ -78,43 +78,108 @@ let empty ~m =
 (* ------------------------------------------------------------- encode *)
 
 let magic = "psched-snapshot/1"
-let hex f = Printf.sprintf "%h" f
 
-let to_string t =
-  let b = Buffer.create 1024 in
-  let line fmt = Printf.ksprintf (fun s -> Buffer.add_string b s; Buffer.add_char b '\n') fmt in
-  line "%s" magic;
-  line "m %d" t.m;
-  line "seq %d" t.seq;
-  line "clock %s" (hex t.clock);
-  line "arrivals %d" t.arrivals;
-  line "outages_seen %d" t.outages_seen;
+(* Every line goes through the {!Wal} writers straight into the buffer.
+   The bytes must stay those [of_string] reads and that snapshots on
+   disk already hold; the tests compare them with a Printf reference. *)
+let int_field b n =
+  Buffer.add_char b ' ';
+  Wal.add_int b n
+
+let hex_field b f =
+  Buffer.add_char b ' ';
+  Wal.add_hex b f
+
+let add_image b t =
+  let int_line key v =
+    Buffer.add_string b key;
+    int_field b v;
+    Buffer.add_char b '\n'
+  in
+  Buffer.add_string b magic;
+  Buffer.add_char b '\n';
+  int_line "m" t.m;
+  int_line "seq" t.seq;
+  Buffer.add_string b "clock";
+  hex_field b t.clock;
+  Buffer.add_char b '\n';
+  int_line "arrivals" t.arrivals;
+  int_line "outages_seen" t.outages_seen;
   let c = t.counters in
-  line "counters %d %d %d %d %d %d %d %d" c.admitted c.decided c.completed c.shed c.killed
-    c.deferred_jobs c.timeouts c.degraded_rounds;
+  Buffer.add_string b "counters";
+  List.iter (int_field b)
+    [ c.admitted; c.decided; c.completed; c.shed; c.killed; c.deferred_jobs; c.timeouts;
+      c.degraded_rounds ];
+  Buffer.add_string b "\nacc";
   let a = t.acc in
-  line "acc %d %d %s %s %s %s %s %s %s %d %s %s %s" a.Metrics.Acc.s_m a.s_n (hex a.s_makespan)
-    (hex a.s_sum_completion) (hex a.s_sum_weighted_completion) (hex a.s_sum_flow)
-    (hex a.s_max_flow) (hex a.s_sum_stretch) (hex a.s_max_stretch) a.s_tardy_count
-    (hex a.s_sum_tardiness) (hex a.s_max_tardiness) (hex a.s_work);
-  line "work %s %s %s" (hex t.useful_work) (hex t.wasted_work) (hex t.capacity_lost);
-  line "degraded %d %d" (if t.degraded then 1 else 0) (if t.round_open then 1 else 0);
-  List.iter (fun (id, n) -> line "attempt %d %d" id n) t.attempts;
-  List.iter (fun j -> line "q %s" (String.concat " " (Wal.job_tokens j))) t.queue;
+  int_field b a.Metrics.Acc.s_m;
+  int_field b a.s_n;
+  List.iter (hex_field b)
+    [ a.s_makespan; a.s_sum_completion; a.s_sum_weighted_completion; a.s_sum_flow;
+      a.s_max_flow; a.s_sum_stretch; a.s_max_stretch ];
+  int_field b a.s_tardy_count;
+  List.iter (hex_field b) [ a.s_sum_tardiness; a.s_max_tardiness; a.s_work ];
+  Buffer.add_string b "\nwork";
+  List.iter (hex_field b) [ t.useful_work; t.wasted_work; t.capacity_lost ];
+  Buffer.add_string b "\ndegraded";
+  int_field b (if t.degraded then 1 else 0);
+  int_field b (if t.round_open then 1 else 0);
+  Buffer.add_char b '\n';
   List.iter
-    (fun (rel, j) -> line "d %s %s" (hex rel) (String.concat " " (Wal.job_tokens j)))
+    (fun (id, n) ->
+      Buffer.add_string b "attempt";
+      int_field b id;
+      int_field b n;
+      Buffer.add_char b '\n')
+    t.attempts;
+  List.iter
+    (fun j ->
+      Buffer.add_string b "q ";
+      Wal.add_job b j;
+      Buffer.add_char b '\n')
+    t.queue;
+  List.iter
+    (fun (rel, j) ->
+      Buffer.add_char b 'd';
+      hex_field b rel;
+      Buffer.add_char b ' ';
+      Wal.add_job b j;
+      Buffer.add_char b '\n')
     t.deferred;
   List.iter
     (fun p ->
-      line "l %s %d %s %s" (hex p.start) p.procs (hex p.duration)
-        (String.concat " " (Wal.job_tokens p.job)))
+      Buffer.add_char b 'l';
+      hex_field b p.start;
+      int_field b p.procs;
+      hex_field b p.duration;
+      Buffer.add_char b ' ';
+      Wal.add_job b p.job;
+      Buffer.add_char b '\n')
     t.live;
-  List.iter (fun (s, d, p) -> line "o %s %s %d" (hex s) (hex d) p) t.outages;
+  List.iter
+    (fun (s, d, p) ->
+      Buffer.add_char b 'o';
+      hex_field b s;
+      hex_field b d;
+      int_field b p;
+      Buffer.add_char b '\n')
+    t.outages;
   (* The trailer checksums everything above it, so a snapshot torn by a
      crash mid-write is rejected as a whole and recovery falls back to
-     pure WAL replay. *)
-  let body = Buffer.contents b in
-  body ^ "end #" ^ Wal.fnv1a64 body ^ "\n"
+     pure WAL replay.  The body is hashed in place, once. *)
+  Wal.add_checksum b ~from:0 "end #";
+  Buffer.add_char b '\n'
+
+(* Sized so the image never regrows: a job line takes ~100 bytes. *)
+let image t =
+  let b =
+    Buffer.create
+      (1024 + (128 * (List.length t.queue + List.length t.deferred + List.length t.live)))
+  in
+  add_image b t;
+  b
+
+let to_string t = Buffer.contents (image t)
 
 (* ------------------------------------------------------------- decode *)
 
@@ -314,7 +379,7 @@ let save path t =
   let oc = open_out tmp in
   Fun.protect
     ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_string t));
+    (fun () -> Buffer.output_buffer oc (image t));
   Sys.rename tmp path
 
 let load path =

@@ -52,9 +52,17 @@ type t = {
 val empty : m:int -> t
 
 val to_string : t -> string
+(** The snapshot file's bytes.  Every line is written through the
+    {!Wal} buffer writers, and the output is byte for byte the
+    [%h]/token format ([Printf.sprintf "%h"] floats, [string_of_int]
+    ints, {!Wal} job tokens), so snapshots written before still load.
+    The body is hashed in place for the [end #] trailer, never copied
+    for it. *)
+
 val of_string : string -> (t, string) result
 
 val save : string -> t -> unit
-(** Atomic write-then-rename. *)
+(** Atomic write-then-rename of the {!to_string} bytes, written from
+    the encoding buffer without an intermediate string. *)
 
 val load : string -> (t, string) result

@@ -43,7 +43,7 @@ let fnv_basis = 0xcbf29ce484222325L
 let hex_digits = "0123456789abcdef"
 
 (* Lowercase hex digit [i] (0 = most significant) of a 64-bit digest. *)
-let digest_digit h i =
+let[@inline] digest_digit h i =
   hex_digits.[Int64.to_int (Int64.logand (Int64.shift_right_logical h (4 * (15 - i))) 0xfL)]
 
 let fnv1a64 s =
@@ -53,11 +53,139 @@ let fnv1a64 s =
   done;
   String.init 16 (digest_digit !h)
 
-(* ---------------------------------------------------------- job codec *)
+(* ------------------------------------------------------------ encoders *)
+
+(* The encoders append straight into a [Buffer.t]: no token lists, no
+   Printf, no intermediate strings.  Their bytes must stay exactly the
+   token format the decoders below read and logs on disk hold
+   ([string_of_int], [%h], tokens joined by single spaces); the tests
+   compare them with a token-list reference. *)
+
+(* [string_of_int n], digit by digit; [n <= 0] so min_int needs no
+   special case. *)
+let rec add_nonpos b n =
+  if n <= -10 then add_nonpos b (n / 10);
+  Buffer.add_char b (Char.unsafe_chr (48 - (n mod 10)))
+
+let add_int b n =
+  if n < 0 then begin
+    Buffer.add_char b '-';
+    add_nonpos b n
+  end
+  else add_nonpos b (-n)
+
+let frac_mask = (1 lsl 52) - 1
 
 (* Hex floats (%h / float_of_string "0x1.8p3") round-trip every finite
-   float exactly, which the bit-identical-replay property requires. *)
-let hex f = Printf.sprintf "%h" f
+   float exactly, which the bit-identical-replay property requires.
+   This prints what [Printf.sprintf "%h"] prints, from the float's bits
+   in native ints: the 52-bit fraction fits in an OCaml int, so nothing
+   is boxed per digit.  Like %h it prints the sign bit of every float,
+   NaN included ("-nan").  A finite float is spelled into a 24-byte
+   scratch (sign, "0x1.", 13 digits, "p", signed exponent of at most 4
+   digits) and handed to the buffer in one piece. *)
+let add_hex b f =
+  let bits = Int64.bits_of_float f in
+  let top = Int64.to_int (Int64.shift_right_logical bits 52) in
+  let e = top land 0x7ff and frac = Int64.to_int bits land frac_mask in
+  if e = 0x7ff then begin
+    if top > 0x7ff then Buffer.add_char b '-';
+    Buffer.add_string b (if frac = 0 then "infinity" else "nan")
+  end
+  else begin
+    let s = Bytes.create 24 in
+    let p = if top > 0x7ff then 1 else 0 in
+    if p = 1 then Bytes.unsafe_set s 0 '-';
+    Bytes.blit_string (if e = 0 then "0x0." else "0x1.") 0 s p 4;
+    (* Most significant digit first; trailing zeros are not printed,
+       and without fraction digits the point is dropped too. *)
+    let p = ref (p + 4) and m = ref frac in
+    while !m <> 0 do
+      Bytes.unsafe_set s !p (String.unsafe_get hex_digits (!m lsr 48));
+      incr p;
+      m := (!m lsl 4) land frac_mask
+    done;
+    if frac = 0 then decr p;
+    let exp = if e > 0 then e - 1023 else if frac = 0 then 0 else -1022 in
+    Bytes.unsafe_set s !p 'p';
+    Bytes.unsafe_set s (!p + 1) (if exp < 0 then '-' else '+');
+    let x = ref (abs exp) in
+    let stop = !p + 2 + if !x >= 1000 then 4 else if !x >= 100 then 3 else if !x >= 10 then 2 else 1 in
+    for i = stop - 1 downto !p + 2 do
+      Bytes.unsafe_set s i (Char.unsafe_chr (48 + (!x mod 10)));
+      x := !x / 10
+    done;
+    Buffer.add_subbytes b s 0 stop
+  end
+
+(* Space-separated fields. *)
+let int_field b n =
+  Buffer.add_char b ' ';
+  add_int b n
+
+let hex_field b f =
+  Buffer.add_char b ' ';
+  add_hex b f
+
+let add_job b (j : Job.t) =
+  Buffer.add_char b 'J';
+  int_field b j.id;
+  hex_field b j.weight;
+  hex_field b j.release;
+  (match j.due with Some d -> hex_field b d | None -> Buffer.add_string b " -");
+  int_field b j.community;
+  (* Optional resource-vector group, emitted only when non-zero so WALs
+     written before the multi-resource redesign (and by scalar-only
+     clients) keep parsing: an absent "V" group reads back as
+     [Resource.zero]. *)
+  let res = j.res in
+  if not (Psched_platform.Resource.equal res Psched_platform.Resource.zero) then begin
+    Buffer.add_string b " V";
+    int_field b res.Psched_platform.Resource.memory;
+    int_field b res.Psched_platform.Resource.bandwidth
+  end;
+  match j.shape with
+  | Job.Rigid { procs; time } ->
+    Buffer.add_string b " R";
+    int_field b procs;
+    hex_field b time
+  | Job.Moldable { min_procs; times } ->
+    Buffer.add_string b " M";
+    int_field b min_procs;
+    int_field b (Array.length times);
+    for i = 0 to Array.length times - 1 do
+      hex_field b times.(i)
+    done
+  | Job.Divisible { work } ->
+    Buffer.add_string b " D";
+    hex_field b work
+  | Job.Multiparam { count; unit_time } ->
+    Buffer.add_string b " P";
+    int_field b count;
+    hex_field b unit_time
+
+(* Appends [sep], then the FNV-1a/64 digest of the bytes of [b] from
+   [from] up to [sep].  The bytes are read through a window of at most
+   1 KiB, so hashing a snapshot image never copies it whole. *)
+let add_checksum b ~from sep =
+  let stop = Buffer.length b in
+  let window = Bytes.create (min 1024 (stop - from)) in
+  let h = ref fnv_basis and pos = ref from in
+  while !pos < stop do
+    let n = min (Bytes.length window) (stop - !pos) in
+    Buffer.blit b !pos window 0 n;
+    for i = 0 to n - 1 do
+      h := fnv_step !h (Bytes.unsafe_get window i)
+    done;
+    pos := !pos + n
+  done;
+  let h = !h in
+  Buffer.add_string b sep;
+  for k = 0 to 15 do
+    Buffer.add_char b (digest_digit h k)
+  done
+
+(* ------------------------------------------------------------ job codec *)
 
 let float_tok tok =
   match float_of_string_opt tok with
@@ -68,38 +196,6 @@ let int_tok tok =
   match int_of_string_opt tok with
   | Some v -> Ok v
   | None -> Error (Printf.sprintf "bad int %S" tok)
-
-let job_tokens (j : Job.t) =
-  let due = match j.due with Some d -> hex d | None -> "-" in
-  let base =
-    [ "J"; string_of_int j.id; hex j.weight; hex j.release; due; string_of_int j.community ]
-  in
-  (* Optional resource-vector group, emitted only when non-zero so WALs
-     written before the multi-resource redesign (and by scalar-only
-     clients) keep parsing: an absent "V" group reads back as
-     [Resource.zero]. *)
-  let base =
-    let res = j.res in
-    if Psched_platform.Resource.equal res Psched_platform.Resource.zero then base
-    else
-      base
-      @ [
-          "V";
-          string_of_int res.Psched_platform.Resource.memory;
-          string_of_int res.Psched_platform.Resource.bandwidth;
-        ]
-  in
-  let shape =
-    match j.shape with
-    | Job.Rigid { procs; time } -> [ "R"; string_of_int procs; hex time ]
-    | Job.Moldable { min_procs; times } ->
-      "M" :: string_of_int min_procs
-      :: string_of_int (Array.length times)
-      :: List.map hex (Array.to_list times)
-    | Job.Divisible { work } -> [ "D"; hex work ]
-    | Job.Multiparam { count; unit_time } -> [ "P"; string_of_int count; hex unit_time ]
-  in
-  base @ shape
 
 let ( let* ) = Result.bind
 
@@ -159,23 +255,10 @@ let job_of_tokens tokens =
 
 (* --------------------------------------------------------- record codec *)
 
-let origin_tok arrival = if arrival then "a" else "r"
-
 let origin_of_tok = function
   | "a" -> Ok true
   | "r" -> Ok false
   | tok -> Error (Printf.sprintf "bad origin tag %S" tok)
-
-let payload_tokens = function
-  | Admit { job; arrival } -> "admit" :: origin_tok arrival :: job_tokens job
-  | Decide { job_id; start; procs; duration } ->
-    [ "decide"; string_of_int job_id; hex start; string_of_int procs; hex duration ]
-  | Shed { job; reason; arrival; requeue } ->
-    "shed" :: reason :: origin_tok arrival :: hex requeue :: job_tokens job
-  | Outage { start; duration; procs } ->
-    [ "outage"; hex start; hex duration; string_of_int procs ]
-  | Kill { job_id; wasted; requeue } ->
-    [ "kill"; string_of_int job_id; hex wasted; hex requeue ]
 
 let payload_of_tokens tokens =
   match tokens with
@@ -209,11 +292,47 @@ let payload_of_tokens tokens =
   | kind :: _ -> Error (Printf.sprintf "unknown record kind %S" kind)
   | [] -> Error "empty record"
 
+let add_payload b = function
+  | Admit { job; arrival } ->
+    Buffer.add_string b (if arrival then "admit a " else "admit r ");
+    add_job b job
+  | Decide { job_id; start; procs; duration } ->
+    Buffer.add_string b "decide";
+    int_field b job_id;
+    hex_field b start;
+    int_field b procs;
+    hex_field b duration
+  | Shed { job; reason; arrival; requeue } ->
+    Buffer.add_string b "shed ";
+    Buffer.add_string b reason;
+    Buffer.add_string b (if arrival then " a" else " r");
+    hex_field b requeue;
+    Buffer.add_char b ' ';
+    add_job b job
+  | Outage { start; duration; procs } ->
+    Buffer.add_string b "outage";
+    hex_field b start;
+    hex_field b duration;
+    int_field b procs
+  | Kill { job_id; wasted; requeue } ->
+    Buffer.add_string b "kill";
+    int_field b job_id;
+    hex_field b wasted;
+    hex_field b requeue
+
+(* One log line, without its newline, at the end of [b]. *)
+let add_line b ~seq ~clock record =
+  let from = Buffer.length b in
+  add_int b seq;
+  hex_field b clock;
+  Buffer.add_char b ' ';
+  add_payload b record;
+  add_checksum b ~from " #"
+
 let encode ~seq ~clock record =
-  let body =
-    String.concat " " (string_of_int seq :: hex clock :: payload_tokens record)
-  in
-  body ^ " #" ^ fnv1a64 body
+  let b = Buffer.create 128 in
+  add_line b ~seq ~clock record;
+  Buffer.contents b
 
 type entry = { seq : int; clock : float; record : record }
 
@@ -296,7 +415,15 @@ let leading_seq s ~first ~body_end =
 
 (* -------------------------------------------------------------- writer *)
 
-type writer = { oc : out_channel; fd : Unix.file_descr; sync : bool; mutable seq : int }
+(* [buf] holds the record being written; it is cleared, not reallocated,
+   between records. *)
+type writer = {
+  oc : out_channel;
+  fd : Unix.file_descr;
+  sync : bool;
+  buf : Buffer.t;
+  mutable seq : int;
+}
 
 let magic = "psched-wal/1"
 
@@ -305,7 +432,7 @@ let create ?(sync = false) path =
   output_string oc magic;
   output_char oc '\n';
   flush oc;
-  { oc; fd = Unix.descr_of_out_channel oc; sync; seq = 0 }
+  { oc; fd = Unix.descr_of_out_channel oc; sync; buf = Buffer.create 256; seq = 0 }
 
 let open_append ?(sync = false) path ~last_seq =
   let existed =
@@ -317,12 +444,14 @@ let open_append ?(sync = false) path ~last_seq =
     output_char oc '\n';
     flush oc
   end;
-  { oc; fd = Unix.descr_of_out_channel oc; sync; seq = last_seq }
+  { oc; fd = Unix.descr_of_out_channel oc; sync; buf = Buffer.create 256; seq = last_seq }
 
 let append w ~clock record =
   w.seq <- w.seq + 1;
-  output_string w.oc (encode ~seq:w.seq ~clock record);
-  output_char w.oc '\n';
+  Buffer.clear w.buf;
+  add_line w.buf ~seq:w.seq ~clock record;
+  Buffer.add_char w.buf '\n';
+  Buffer.output_buffer w.oc w.buf;
   (* Flush every record: a kill -9 can then tear at most the final
      line, which replay detects and drops.  fsync is opt-in — it makes
      the record durable against power loss (its cost per append is the

@@ -7,7 +7,11 @@
     exact pre-crash state; {!Daemon.recover} proves this bit-identical.
 
     Line format: [<seq> <clock> <payload...> #<fnv1a64>].  Floats are
-    encoded as hex floats ([%h]) so round-trips are exact.  A torn
+    encoded as hex floats ([%h]) so round-trips are exact.  The
+    encoders write straight into a [Buffer.t], without [Printf] or
+    token lists; their output is byte for byte the [%h]/token format
+    ([Printf.sprintf "%h"], [string_of_int], tokens joined by single
+    spaces), so every log written before still replays.  A torn
     final line (the normal result of [kill -9] racing a write) fails
     its checksum and is dropped; replay reports it as {!torn}. *)
 
@@ -49,11 +53,29 @@ val decode : string -> (entry, string) result
 val fnv1a64 : string -> string
 (** The checksum used by the line format (16 lowercase hex digits). *)
 
-val job_tokens : Job.t -> string list
-(** The flat token encoding of a job, shared with {!Snapshot}. *)
-
 val job_of_tokens : string list -> (Job.t * string list, string) result
 (** Parse a job from a token list; returns the unconsumed tail. *)
+
+(** {2 Writers}
+
+    Shared with {!Snapshot}.  Each appends to the buffer; beyond the
+    buffer's growth they allocate at most a small scratch per call. *)
+
+val add_int : Buffer.t -> int -> unit
+(** Exactly [string_of_int n]. *)
+
+val add_hex : Buffer.t -> float -> unit
+(** Exactly [Printf.sprintf "%h" f], for every float: signed zeros,
+    subnormals, infinities and NaNs ([-nan] when the sign bit is set)
+    included. *)
+
+val add_job : Buffer.t -> Job.t -> unit
+(** The job's space-separated token encoding, read back by
+    {!job_of_tokens}. *)
+
+val add_checksum : Buffer.t -> from:int -> string -> unit
+(** [add_checksum b ~from sep] appends [sep], then the {!fnv1a64}
+    digest of the bytes [b] held from [from] on before [sep]. *)
 
 (** {1 Writer} *)
 
@@ -73,7 +95,9 @@ val open_append : ?sync:bool -> string -> last_seq:int -> writer
 
 val append : writer -> clock:float -> record -> int
 (** Append one record and flush; returns the record's sequence
-    number.  Sequence numbers increase by exactly 1. *)
+    number.  Sequence numbers increase by exactly 1.  The line, the
+    bytes of {!encode}, is built in a buffer the writer reuses for
+    every record and handed to the channel as is. *)
 
 val seq : writer -> int
 val close : writer -> unit

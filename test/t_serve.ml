@@ -68,12 +68,18 @@ let test_wal_roundtrip () =
           (compare entry.Wal.record record = 0))
     sample_records
 
+(* A job as the writer encodes it, split back into its tokens. *)
+let written_tokens job =
+  let b = Buffer.create 64 in
+  Wal.add_job b job;
+  String.split_on_char ' ' (Buffer.contents b)
+
 let test_wal_job_roundtrip_qcheck =
   T_helpers.qtest ~count:300 "wal job codec round-trips" (T_helpers.arb_instance `Mixed)
     (fun (_, jobs) ->
       List.for_all
         (fun job ->
-          match Wal.job_of_tokens (Wal.job_tokens job) with
+          match Wal.job_of_tokens (written_tokens job) with
           | Ok (job', []) -> compare job job' = 0
           | Ok (_, _ :: _) -> QCheck.Test.fail_report "unconsumed tokens"
           | Error e -> QCheck.Test.fail_reportf "codec error: %s" e)
@@ -84,7 +90,7 @@ let test_wal_resource_vector_roundtrip () =
   (* A job carrying a non-zero demand vector survives the codec... *)
   let res = R.make ~memory:4096 ~bandwidth:250 () in
   let job = Job.rigid ~res ~release:2.5 ~id:9 ~procs:8 ~time:100.0 () in
-  (match Wal.job_of_tokens (Wal.job_tokens job) with
+  (match Wal.job_of_tokens (written_tokens job) with
   | Ok (job', []) ->
     Alcotest.(check bool) "vector survives" true (compare job job' = 0);
     Alcotest.(check int) "memory" 4096 job'.Job.res.R.memory
@@ -94,8 +100,8 @@ let test_wal_resource_vector_roundtrip () =
      written by older daemons parse unchanged. *)
   let plain = Job.rigid ~id:1 ~procs:2 ~time:5.0 () in
   Alcotest.(check bool) "no V group for zero vectors" false
-    (List.mem "V" (Wal.job_tokens plain));
-  match Wal.job_of_tokens (Wal.job_tokens plain) with
+    (List.mem "V" (written_tokens plain));
+  match Wal.job_of_tokens (written_tokens plain) with
   | Ok (job', []) -> Alcotest.(check bool) "zero vector" true (R.equal job'.Job.res R.zero)
   | _ -> Alcotest.fail "plain job must round-trip"
 
@@ -661,6 +667,308 @@ let test_oracle_logs_cover_every_kind () =
         (List.exists (fun (e : Wal.entry) -> Wal.record_name e.Wal.record = kind) entries))
     [ "admit"; "decide"; "shed"; "outage"; "kill" ]
 
+(* --- the writers against the token-list oracle --------------------------- *)
+
+(* The Printf and token-list encoders the buffer writers replaced, kept
+   unchanged as the reference: the writers must reproduce their bytes
+   exactly. *)
+module Reference = struct
+  let hex f = Printf.sprintf "%h" f
+
+  let job_tokens (j : Job.t) =
+    let due = match j.due with Some d -> hex d | None -> "-" in
+    let base =
+      [ "J"; string_of_int j.id; hex j.weight; hex j.release; due; string_of_int j.community ]
+    in
+    let base =
+      let res = j.res in
+      if Psched_platform.Resource.equal res Psched_platform.Resource.zero then base
+      else
+        base
+        @ [
+            "V";
+            string_of_int res.Psched_platform.Resource.memory;
+            string_of_int res.Psched_platform.Resource.bandwidth;
+          ]
+    in
+    let shape =
+      match j.shape with
+      | Job.Rigid { procs; time } -> [ "R"; string_of_int procs; hex time ]
+      | Job.Moldable { min_procs; times } ->
+        "M" :: string_of_int min_procs
+        :: string_of_int (Array.length times)
+        :: List.map hex (Array.to_list times)
+      | Job.Divisible { work } -> [ "D"; hex work ]
+      | Job.Multiparam { count; unit_time } -> [ "P"; string_of_int count; hex unit_time ]
+    in
+    base @ shape
+
+  let origin_tok arrival = if arrival then "a" else "r"
+
+  let payload_tokens = function
+    | Wal.Admit { job; arrival } -> "admit" :: origin_tok arrival :: job_tokens job
+    | Wal.Decide { job_id; start; procs; duration } ->
+      [ "decide"; string_of_int job_id; hex start; string_of_int procs; hex duration ]
+    | Wal.Shed { job; reason; arrival; requeue } ->
+      "shed" :: reason :: origin_tok arrival :: hex requeue :: job_tokens job
+    | Wal.Outage { start; duration; procs } ->
+      [ "outage"; hex start; hex duration; string_of_int procs ]
+    | Wal.Kill { job_id; wasted; requeue } ->
+      [ "kill"; string_of_int job_id; hex wasted; hex requeue ]
+
+  let encode ~seq ~clock record =
+    let body =
+      String.concat " " (string_of_int seq :: hex clock :: payload_tokens record)
+    in
+    body ^ " #" ^ Wal.fnv1a64 body
+
+  let snapshot_to_string (t : Snapshot.t) =
+    let b = Buffer.create 1024 in
+    let line fmt = Printf.ksprintf (fun s -> Buffer.add_string b s; Buffer.add_char b '\n') fmt in
+    line "%s" "psched-snapshot/1";
+    line "m %d" t.m;
+    line "seq %d" t.seq;
+    line "clock %s" (hex t.clock);
+    line "arrivals %d" t.arrivals;
+    line "outages_seen %d" t.outages_seen;
+    let c = t.counters in
+    line "counters %d %d %d %d %d %d %d %d" c.admitted c.decided c.completed c.shed c.killed
+      c.deferred_jobs c.timeouts c.degraded_rounds;
+    let a = t.acc in
+    line "acc %d %d %s %s %s %s %s %s %s %d %s %s %s" a.Metrics.Acc.s_m a.s_n (hex a.s_makespan)
+      (hex a.s_sum_completion) (hex a.s_sum_weighted_completion) (hex a.s_sum_flow)
+      (hex a.s_max_flow) (hex a.s_sum_stretch) (hex a.s_max_stretch) a.s_tardy_count
+      (hex a.s_sum_tardiness) (hex a.s_max_tardiness) (hex a.s_work);
+    line "work %s %s %s" (hex t.useful_work) (hex t.wasted_work) (hex t.capacity_lost);
+    line "degraded %d %d" (if t.degraded then 1 else 0) (if t.round_open then 1 else 0);
+    List.iter (fun (id, n) -> line "attempt %d %d" id n) t.attempts;
+    List.iter (fun j -> line "q %s" (String.concat " " (job_tokens j))) t.queue;
+    List.iter
+      (fun (rel, j) -> line "d %s %s" (hex rel) (String.concat " " (job_tokens j)))
+      t.deferred;
+    List.iter
+      (fun (p : Snapshot.placement) ->
+        line "l %s %d %s %s" (hex p.start) p.procs (hex p.duration)
+          (String.concat " " (job_tokens p.job)))
+      t.live;
+    List.iter (fun (s, d, p) -> line "o %s %s %d" (hex s) (hex d) p) t.outages;
+    let body = Buffer.contents b in
+    body ^ "end #" ^ Wal.fnv1a64 body ^ "\n"
+end
+
+let written_hex f =
+  let b = Buffer.create 32 in
+  Wal.add_hex b f;
+  Buffer.contents b
+
+let hex_agrees f =
+  let got = written_hex f and want = Printf.sprintf "%h" f in
+  got = want
+  || QCheck.Test.fail_reportf "bits %016Lx: writer %S, %%h %S" (Int64.bits_of_float f) got want
+
+let test_hex_random_bits =
+  T_helpers.qtest ~count:20_000 "wal: add_hex equals %h on random bit patterns"
+    (QCheck.make ~print:(Printf.sprintf "%016Lx") QCheck.Gen.int64)
+    (fun bits -> hex_agrees (Int64.float_of_bits bits))
+
+(* NaNs of every payload, with the sign bit set or not: %h prints the
+   sign of a NaN ("-nan"). *)
+let test_hex_nans =
+  T_helpers.qtest ~count:2_000 "wal: add_hex equals %h on signed NaNs"
+    QCheck.(pair bool (int_range 1 ((1 lsl 52) - 1)))
+    (fun (negative, frac) ->
+      let bits = Int64.logor 0x7ff0000000000000L (Int64.of_int frac) in
+      let bits = if negative then Int64.logor bits Int64.min_int else bits in
+      hex_agrees (Int64.float_of_bits bits))
+
+let test_hex_special_values () =
+  List.iter
+    (fun f ->
+      Alcotest.(check string)
+        (Printf.sprintf "bits %016Lx" (Int64.bits_of_float f))
+        (Printf.sprintf "%h" f) (written_hex f))
+    [ 0.0; -0.0; infinity; neg_infinity; max_float; -.max_float; min_float; -.min_float;
+      4.9e-324; -4.9e-324; Float.pred min_float; Float.succ 0.0; epsilon_float; 1.0; -1.0;
+      0.1; 3.0625; 1e300; Float.nan; Int64.float_of_bits 0xfff8000000000000L;
+      Int64.float_of_bits 0x7ff0000000000001L; Int64.float_of_bits 0xffffffffffffffffL ];
+  Alcotest.(check string) "negative NaN" "-nan" (written_hex (Int64.float_of_bits 0xfff8000000000000L));
+  Alcotest.(check string) "smallest subnormal" "0x0.0000000000001p-1022" (written_hex 4.9e-324)
+
+let test_int_writer () =
+  List.iter
+    (fun n ->
+      let b = Buffer.create 24 in
+      Wal.add_int b n;
+      Alcotest.(check string) (string_of_int n) (string_of_int n) (Buffer.contents b))
+    [ 0; 1; -1; 9; 10; -10; 99; 100; 123456789; -987654321; max_int; min_int ]
+
+module Gen = QCheck.Gen
+
+let ( let* ) = Gen.( >>= )
+let ( and* ) = Gen.pair
+
+(* Random bit patterns (NaNs and infinities included) and ordinary values. *)
+let gen_float =
+  Gen.frequency
+    [ (2, Gen.map Int64.float_of_bits Gen.int64); (2, Gen.float_range 0.0 1e6);
+      (1, Gen.oneofl [ 0.0; -0.0; 0.1; infinity; Float.nan; 4.9e-324; max_float ]) ]
+
+let gen_int = Gen.frequency [ (3, Gen.small_signed_int); (1, Gen.int) ]
+
+let gen_shape =
+  Gen.oneof
+    [
+      Gen.map2 (fun procs time -> Job.Rigid { procs; time }) gen_int gen_float;
+      Gen.map2
+        (fun min_procs times -> Job.Moldable { min_procs; times })
+        gen_int (Gen.array_size (Gen.int_range 0 6) gen_float);
+      Gen.map (fun work -> Job.Divisible { work }) gen_float;
+      Gen.map2 (fun count unit_time -> Job.Multiparam { count; unit_time }) gen_int gen_float;
+    ]
+
+let gen_res =
+  Gen.frequency
+    [ (1, Gen.return Psched_platform.Resource.zero);
+      (2, Gen.map2 (fun memory bandwidth -> Psched_platform.Resource.make ~memory ~bandwidth ())
+            Gen.nat Gen.nat) ]
+
+(* Built field by field, not through [Job.make], so any float reaches
+   the writer. *)
+let gen_job =
+  let* id = gen_int and* shape = gen_shape and* weight = gen_float and* release = gen_float in
+  let* due = Gen.opt gen_float and* community = gen_int and* res = gen_res in
+  Gen.return { Job.id; shape; weight; release; due; community; res }
+
+(* One record of each of the five kinds. *)
+let gen_records =
+  let* admit = gen_job and* arrival = Gen.bool and* shed = gen_job in
+  let* reason = Gen.oneofl [ "reject"; "defer" ] and* i = gen_int and* p = gen_int in
+  let* f1 = gen_float and* f2 = gen_float and* f3 = gen_float in
+  Gen.return
+    [
+      Wal.Admit { job = admit; arrival };
+      Wal.Decide { job_id = i; start = f1; procs = p; duration = f2 };
+      Wal.Shed { job = shed; reason; arrival = not arrival; requeue = f3 };
+      Wal.Outage { start = f2; duration = f3; procs = p };
+      Wal.Kill { job_id = i; wasted = f3; requeue = f1 };
+    ]
+
+let test_encode_matches_reference =
+  T_helpers.qtest ~count:500 "wal: encode equals the token-list oracle"
+    (QCheck.make Gen.(triple gen_int gen_float gen_records))
+    (fun (seq, clock, records) ->
+      List.for_all
+        (fun record ->
+          let got = Wal.encode ~seq ~clock record and want = Reference.encode ~seq ~clock record in
+          got = want || QCheck.Test.fail_reportf "writer %S\noracle %S" got want)
+        records)
+
+let gen_nonempty g = Gen.list_size (Gen.int_range 1 5) g
+
+let gen_state =
+  let* m = gen_int and* seq = gen_int and* clock = gen_float and* arrivals = gen_int in
+  let* outages_seen = gen_int and* queue = gen_nonempty gen_job in
+  let* deferred = gen_nonempty (Gen.pair gen_float gen_job) in
+  let* live =
+    gen_nonempty
+      (let* job = gen_job and* start = gen_float and* procs = gen_int and* duration = gen_float in
+       Gen.return { Snapshot.job; start; procs; duration })
+  in
+  let* outages = gen_nonempty (Gen.triple gen_float gen_float gen_int) in
+  let* attempts = gen_nonempty (Gen.pair gen_int gen_int) in
+  let* c = Gen.array_size (Gen.return 10) gen_int and* f = Gen.array_size (Gen.return 13) gen_float in
+  let* degraded = Gen.bool and* round_open = Gen.bool in
+  Gen.return
+    {
+      Snapshot.m;
+      seq;
+      clock;
+      arrivals;
+      outages_seen;
+      queue;
+      deferred;
+      live;
+      outages;
+      acc =
+        {
+          Metrics.Acc.s_m = c.(8);
+          s_n = c.(9);
+          s_makespan = f.(0);
+          s_sum_completion = f.(1);
+          s_sum_weighted_completion = f.(2);
+          s_sum_flow = f.(3);
+          s_max_flow = f.(4);
+          s_sum_stretch = f.(5);
+          s_max_stretch = f.(6);
+          s_tardy_count = c.(7);
+          s_sum_tardiness = f.(7);
+          s_max_tardiness = f.(8);
+          s_work = f.(9);
+        };
+      counters =
+        {
+          Snapshot.admitted = c.(0);
+          decided = c.(1);
+          completed = c.(2);
+          shed = c.(3);
+          killed = c.(4);
+          deferred_jobs = c.(5);
+          timeouts = c.(6);
+          degraded_rounds = c.(7);
+        };
+      useful_work = f.(10);
+      wasted_work = f.(11);
+      capacity_lost = f.(12);
+      degraded;
+      round_open;
+      attempts;
+    }
+
+let test_snapshot_matches_reference =
+  T_helpers.qtest ~count:300 "snapshot: to_string equals the Printf oracle" (QCheck.make gen_state)
+    (fun st ->
+      let got = Snapshot.to_string st and want = Reference.snapshot_to_string st in
+      got = want || QCheck.Test.fail_reportf "writer:\n%s\noracle:\n%s" got want)
+
+let test_snapshot_save_writes_to_string () =
+  let path = tmp "save.snapshot" in
+  let st = nonempty_state () in
+  Snapshot.save path st;
+  let on_disk = read_file path in
+  rm path;
+  Alcotest.(check string) "saved bytes" (Snapshot.to_string st) on_disk
+
+let test_series_latency_quantiles () =
+  (* A deterministic wall clock with uneven steps gives every round a
+     distinct latency. *)
+  let obs = Obs.create () in
+  let lcg = ref 12345 and now = ref 0.0 in
+  Obs.set_wall_clock obs (fun () ->
+      lcg := ((!lcg * 1103515245) + 12345) land 0x3fffffff;
+      now := !now +. (float_of_int (!lcg land 0xffff) *. 1e-6);
+      !now);
+  let series = Psched_obs.Series.create ~interval:4.0 ~capacity:100_000 () in
+  let cfg = Daemon.config ~m:8 ~batch:2 ~obs ~series () in
+  let out = Daemon.run cfg (poisson_arrivals ~m:8 ~count:400 ~seed:3 ()) in
+  let history = out.Daemon.decision_latencies in
+  (* Sort-then-index over the first [k] rounds. *)
+  let quantiles k =
+    let lat = Array.sub history 0 k in
+    Array.sort Float.compare lat;
+    let at q = if k = 0 then 0.0 else lat.(min (k - 1) (int_of_float (q *. float_of_int k))) in
+    (at 0.50, at 0.99)
+  in
+  (* Each sample saw a prefix of the history, a later sample a longer one. *)
+  let rec seen k (s : Psched_obs.Series.sample) =
+    if k > Array.length history then Alcotest.failf "sample at t=%g matches no prefix" s.t
+    else if quantiles k = (s.lat_p50, s.lat_p99) then k
+    else seen (k + 1) s
+  in
+  let samples = Psched_obs.Series.samples series in
+  let last = List.fold_left seen 0 samples in
+  Alcotest.(check bool) "many samples" true (List.length samples > 50);
+  Alcotest.(check bool) "samples cover most rounds" true (2 * last > Array.length history)
+
 let test_timer_round_semantics () =
   (* With a scheduling cycle, backlog builds between grid points: the
      cap sheds what a cycle cannot hold, and nothing is decided before
@@ -972,6 +1280,16 @@ let suite =
     test_scan_matches_oracle;
     Alcotest.test_case "wal: oracle logs cover every record kind" `Quick
       test_oracle_logs_cover_every_kind;
+    test_hex_random_bits;
+    test_hex_nans;
+    Alcotest.test_case "wal: add_hex on special values" `Quick test_hex_special_values;
+    Alcotest.test_case "wal: add_int equals string_of_int" `Quick test_int_writer;
+    test_encode_matches_reference;
+    test_snapshot_matches_reference;
+    Alcotest.test_case "snapshot: save writes to_string's bytes" `Quick
+      test_snapshot_save_writes_to_string;
+    Alcotest.test_case "series: latency quantiles equal sort-then-index" `Quick
+      test_series_latency_quantiles;
     Alcotest.test_case "timer rounds: backlog, cap and grid timing" `Quick
       test_timer_round_semantics;
     Alcotest.test_case "admission: watermark hysteresis" `Quick test_watermark_hysteresis;
